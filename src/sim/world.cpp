@@ -4,7 +4,6 @@
 
 #include "sim/env.hpp"
 #include "util/hash.hpp"
-#include "util/logging.hpp"
 
 namespace tbwf::sim {
 

@@ -124,6 +124,30 @@ TEST(ReplayDeterminism, SoakSloVerdictsReplayIdentically) {
   }
 }
 
+/// Trace::digest() sees only the pid schedule and the fault log, not what
+/// the processes computed: under the same seed the two register families
+/// draw the same schedule and fault plan, so their digests can agree while
+/// their services complete different numbers of requests. A soak replay
+/// therefore also compares what the service did.
+TEST(ReplayDeterminism, SoakReplaysMatchBehaviourNotJustSchedule) {
+  soak::SimSoakResult runs[2];
+  int i = 0;
+  for (const soak::SimBackend backend :
+       {soak::SimBackend::kAtomic, soak::SimBackend::kAbortable}) {
+    const auto options = soak::SimSoakOptions::quick(3, backend);
+    const soak::SimSoakResult a = soak::run_sim_soak(options);
+    const soak::SimSoakResult b = soak::run_sim_soak(options);
+    EXPECT_EQ(a.trace_digest, b.trace_digest) << soak::to_string(backend);
+    EXPECT_EQ(a.stats.completed, b.stats.completed)
+        << soak::to_string(backend);
+    EXPECT_EQ(a.state_value, b.state_value) << soak::to_string(backend);
+    runs[i++] = a;
+  }
+  // The behavioural comparison separates runs the digest cannot.
+  EXPECT_NE(runs[0].stats.completed, runs[1].stats.completed);
+  EXPECT_NE(runs[0].state_value, runs[1].state_value);
+}
+
 TEST(ReplayDeterminism, SoakSeedsDiverge) {
   EXPECT_NE(soak::run_sim_soak(soak::SimSoakOptions::quick(1)).trace_digest,
             soak::run_sim_soak(soak::SimSoakOptions::quick(9)).trace_digest);

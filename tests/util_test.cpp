@@ -149,33 +149,3 @@ TEST(JainFairness, EmptyAndZeroAreFair) {
 
 }  // namespace
 }  // namespace tbwf
-
-#include "util/logging.hpp"
-
-namespace tbwf {
-namespace {
-
-TEST(Logging, LevelRoundTrips) {
-  const auto prev = util::log_level();
-  util::set_log_level(util::LogLevel::Debug);
-  EXPECT_EQ(util::log_level(), util::LogLevel::Debug);
-  util::set_log_level(util::LogLevel::Off);
-  EXPECT_EQ(util::log_level(), util::LogLevel::Off);
-  util::set_log_level(prev);
-}
-
-TEST(Logging, SuppressedBelowThresholdAndEmitsAbove) {
-  const auto prev = util::log_level();
-  util::set_log_level(util::LogLevel::Off);
-  // Nothing observable to assert on stderr portably; the contract is
-  // simply that emitting at any level below Off is a no-op that does
-  // not crash, including from the macro path.
-  TBWF_LOG(Error) << "suppressed " << 42;
-  util::set_log_level(util::LogLevel::Error);
-  util::log_emit(util::LogLevel::Warn, "below threshold, dropped");
-  util::set_log_level(prev);
-  SUCCEED();
-}
-
-}  // namespace
-}  // namespace tbwf
